@@ -123,10 +123,11 @@ pub(crate) fn weight_magnitude(target: &Target) -> i128 {
     }
 }
 
-/// The requantization shift the runner would calibrate for a layer
-/// whose merged sums peak at `out_max` — the same `bits - Pin` formula
-/// `CommandRunner::requant_shift` applies, exposed so the static
-/// lowering can derive plan shifts from the interval bounds.
+/// The requantization shift for a layer whose merged sums peak at
+/// `out_max`: `bits - Pin`, so the next layer's codes fit its Pin-bit
+/// drivers. The one requantization formula — the runner calibrates with
+/// it on measured peaks, [`lower_program`](crate::lower_program) on the
+/// interval bounds.
 pub fn static_shift(out_max: i128, scheme: &ComposingScheme) -> u8 {
     let out_max = i64::try_from(out_max.max(1)).unwrap_or(i64::MAX);
     let bits = 64 - i64::from(out_max.leading_zeros());
@@ -140,14 +141,9 @@ pub fn static_shift(out_max: i128, scheme: &ComposingScheme) -> u8 {
 /// rather than silently.
 pub(crate) fn merged_interval(layer: &ProgramLayer, act: Interval, w_max: i128) -> Interval {
     let bias = Interval::symmetric(i128::from(layer.bias_peak));
-    let dot_rows = match layer.op {
-        ProgramOp::Fc => Some(layer.inputs),
-        ProgramOp::Conv { in_ch, kernel, .. } => Some(in_ch * kernel * kernel),
-        ProgramOp::Pool { .. } => None,
-    };
     match layer.op {
         ProgramOp::Fc | ProgramOp::Conv { .. } => {
-            let rows = dot_rows.unwrap_or(0);
+            let rows = layer.op.weight_shape(layer.inputs, layer.outputs).map_or(0, |w| w.0);
             let input_max = i64::try_from(act.abs_max()).unwrap_or(i64::MAX);
             let weight_max = i64::try_from(w_max).unwrap_or(i64::MAX);
             let (lo, hi) = PairedCrossbar::sense_interval(rows, input_max, weight_max);

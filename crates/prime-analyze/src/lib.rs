@@ -19,12 +19,12 @@
 //!   `unsafe` anywhere, no lossy `as` casts on the guarded datapath)
 //!   with an allowlist for documented residue.
 //! * **Pass 3 — program abstract interpretation** ([`analyze_program`]):
-//!   interprets the lowered command program (the runner's planned-op
-//!   stream) over four abstract domains — FF-buffer region dataflow,
-//!   §III-D interval precision propagation, shared-tile aliasing, and
-//!   stage-channel deadlock freedom. `PrimeSystem::deploy` gates on it
-//!   like Pass 1; [`lower_program`] derives the plan statically for
-//!   workload audits.
+//!   interprets the lowered command program over four abstract domains
+//!   — FF-buffer region dataflow, §III-D interval precision propagation,
+//!   shared-tile aliasing, and stage-channel deadlock freedom. The plan
+//!   has one producer, [`lower_shapes`], which the runner compiles from;
+//!   `PrimeSystem::deploy` gates on the compiled plan like Pass 1, and
+//!   [`lower_program`] completes it statically for workload audits.
 //!
 //! Diagnostics carry stable `P0xx` codes cataloged in DESIGN.md §10;
 //! all passes render human-readable and JSON output in a canonical
@@ -63,8 +63,8 @@ pub use intervals::{
 };
 pub use lint::{lint_root, lint_source, AllowEntry, Allowlist};
 pub use program::{
-    analyze_program, lower_program, ProgramLayer, ProgramOp, ProgramPlan, ProgramStage,
-    ProgramTile,
+    analyze_program, check_stage_tiles, lower_program, lower_shapes, weight_tiles, ProgramLayer,
+    ProgramOp, ProgramPlan, ProgramStage, ProgramTile,
 };
 pub use verify::{
     analyze, check_pipeline, check_shared_layout, conv_staging, shared_layout, tile_pn,

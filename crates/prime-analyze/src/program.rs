@@ -1,12 +1,15 @@
 //! Pass 3 — abstract interpretation of the lowered command program.
 //!
 //! Pass 1 ([`analyze`](crate::analyze)) verifies the *mapping*; nothing
-//! there sees the program the runner actually executes — the planned-op
-//! stream with its row-ring staging, chunked window evaluation,
-//! shared-tile aliasing, and stage-channel topology. This pass closes
-//! that gap: [`analyze_program`] interprets a [`ProgramPlan`] (either
-//! exported from a compiled `CommandRunner` or lowered statically by
-//! [`lower_program`]) over four abstract domains:
+//! there sees the program the runner actually executes — the op stream
+//! with its row-ring staging, chunked window evaluation, shared-tile
+//! aliasing, and stage-channel topology. There is one such program:
+//! [`lower_shapes`] lowers the compiler's mapping into a [`ProgramPlan`]
+//! (stage spans, ops, buffer addresses, tile counts), `CommandRunner`
+//! compiles and executes that plan, and [`lower_program`] completes it
+//! statically. [`analyze_program`] interprets the plan — exported from a
+//! compiled `CommandRunner` at deploy, or from [`lower_program`] in CI —
+//! over four abstract domains:
 //!
 //! * **FF-buffer region dataflow** — the buffer is a word-granular
 //!   region lattice; every op's staged definitions must cover its uses
@@ -34,15 +37,15 @@
 //! workload under both mapping strategies.
 
 use prime_circuits::mean_pool_weights;
-use prime_compiler::{pipeline_credits, MappingStrategy, NetworkMapping};
+use prime_compiler::{pipeline_credits, MappingStrategy, NetworkMapping, PipelineStage};
 use prime_nn::{LayerSpec, NetworkSpec, PoolKind};
 
 use crate::diag::{sort_diagnostics, Code, Diagnostic, Span};
 use crate::intervals::{static_shift, Interval};
 use crate::verify::{conv_staging, Target, WINDOW_IO_CHUNK_WORDS};
 
-/// What one planned layer computes per crossbar evaluation — the
-/// analysis mirror of the runner's private `PlannedOp`.
+/// What one lowered layer computes per crossbar evaluation. Produced by
+/// [`lower_shapes`]; the runner executes these ops directly.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ProgramOp {
     /// Fully-connected: one evaluation over the whole input vector.
@@ -88,10 +91,11 @@ pub enum ProgramOp {
 }
 
 impl ProgramOp {
-    /// Words of FF buffer the op's input staging region occupies — the
-    /// same accounting as the runner's `PlannedLayer::staging`: the full
-    /// input vector for FC, the row ring plus window chunk for a
-    /// resident conv, one im2col / pooling window otherwise.
+    /// Words of FF buffer the op's input staging region occupies: the
+    /// full input vector for FC, the row ring plus window chunk for a
+    /// resident conv, one im2col / pooling window otherwise (feature maps
+    /// stay Mem-resident). [`lower_shapes`] lays regions out with it and
+    /// the region check ([`Code::P024`]) proves them against it.
     pub fn staging_words(&self, inputs: usize) -> usize {
         match *self {
             ProgramOp::Fc => inputs,
@@ -103,6 +107,19 @@ impl ProgramOp {
                 }
             }
             ProgramOp::Pool { window, .. } => window * window,
+        }
+    }
+
+    /// The `(rows, cols)` crossbar weight matrix of a weight layer with
+    /// `inputs`/`outputs` logical widths — one row per input (FC) or
+    /// im2col tap (conv), one column per output (FC) or output map
+    /// (conv), and no bias row — or `None` for pooling, which holds no
+    /// weights.
+    pub fn weight_shape(&self, inputs: usize, outputs: usize) -> Option<(usize, usize)> {
+        match *self {
+            ProgramOp::Fc => Some((inputs, outputs)),
+            ProgramOp::Conv { in_ch, out_ch, kernel, .. } => Some((in_ch * kernel * kernel, out_ch)),
+            ProgramOp::Pool { .. } => None,
         }
     }
 
@@ -121,8 +138,9 @@ impl ProgramOp {
 }
 
 /// Post-deploy state of one placed tile, as far as the alias analysis
-/// needs it.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+/// needs it. The default (private, compute-mapped) is what a lowering
+/// without a bank records.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ProgramTile {
     /// The tile's crossbar pair is reachable through a shared
     /// `PairStore` alias (its `Arc` has more than one owner).
@@ -165,10 +183,11 @@ pub struct ProgramStage {
     pub layers: (usize, usize),
 }
 
-/// The lowered command program, as the abstract interpreter sees it:
-/// either exported from a compiled `CommandRunner` (deploy-time gating,
-/// exact calibrated shifts and live tile states) or derived statically
-/// by [`lower_program`] (workload auditing without touching a bank).
+/// The lowered command program, as the abstract interpreter sees it.
+/// Its shape comes from [`lower_shapes`] either way; a compiled
+/// `CommandRunner` exports it with calibrated shifts and live tile
+/// states (deploy-time gating), and [`lower_program`] fills in static
+/// worst-case shifts (workload auditing without touching a bank).
 #[derive(Debug, Clone, PartialEq)]
 pub struct ProgramPlan {
     /// Planned layers, in execution order across all stages.
@@ -181,32 +200,62 @@ pub struct ProgramPlan {
     pub recycle_credits: usize,
 }
 
-/// Statically lowers `(spec, mapping)` into the [`ProgramPlan`] the
-/// runner would compile, without programming a single mat: stage spans
-/// and buffer addressing mirror `CommandRunner::compile_pipeline`
-/// exactly (the cursor arithmetic depends only on shapes), and
-/// requantization shifts are derived from the interval analysis's own
-/// worst-case bounds instead of a calibration pass. Bias magnitudes are
-/// modeled at the dot-span bound (§III-D assumes bias never dominates
-/// the dot product).
+/// The mat-sized tiles of a `rows`x`cols` crossbar weight matrix on
+/// `mat_rows`x`mat_cols` mats, row-tile-major: each item is the
+/// `(row span, column span)` one mat holds. The single tiling rule of
+/// the lowering: [`lower_shapes`] counts these tiles and
+/// `CommandRunner` programs exactly these spans.
+pub fn weight_tiles(
+    (rows, cols): (usize, usize),
+    (mat_rows, mat_cols): (usize, usize),
+) -> impl Iterator<Item = ((usize, usize), (usize, usize))> {
+    let span = |t: usize, edge: usize, total: usize| (t * edge, ((t + 1) * edge).min(total));
+    (0..rows.div_ceil(mat_rows.max(1))).flat_map(move |r| {
+        (0..cols.div_ceil(mat_cols.max(1)))
+            .map(move |c| (span(r, mat_rows, rows), span(c, mat_cols, cols)))
+    })
+}
+
+/// The shape-only lowering of `spec` along `pipeline` on `target` — the
+/// one producer of everything about the program that depends only on
+/// shapes:
+///
+/// * stage spans, from the compiler's stage list (an empty `pipeline`
+///   is one stage holding every layer on bank 0);
+/// * each layer's [`ProgramOp`], with a conv's `resident`/`chunk_pixels`
+///   from [`conv_staging`] and a mean pool's quantized `1/n` level;
+/// * FF-buffer addresses: per stage, staging regions are laid out back
+///   to back from word 0 ([`ProgramOp::staging_words`] each);
+/// * per-layer tile counts by [`weight_tiles`]. A weight layer's
+///   crossbar matrix has one row per input and no bias row, because the
+///   runner adds bias in the merge adder — so a layer can need fewer
+///   tiles than the compiler's estimate, which reserves a bias row.
+///
+/// [`lower_program`] adds static requantization shifts on top;
+/// `CommandRunner` compiles from this plan and adds only what needs a
+/// bank (weights, SA/requant calibration, mat addresses, bias units).
+/// The `requant_shift`, `relu` and `bias_peak` fields are left zero and
+/// every tile state is the default.
+///
+/// Stage spans are taken as given: a malformed stage list lowers to a
+/// malformed plan, which the stage-graph check ([`Code::P030`]) reports.
 ///
 /// # Errors
 ///
 /// Returns a human-readable reason for layers that have no in-memory
-/// lowering (LRN falls back to the host — [`Code::P015`] territory, not
-/// this pass's).
-pub fn lower_program(
+/// lowering: LRN (it falls back to the host — [`Code::P015`] territory,
+/// not this pass's) and mean pools whose `1/n` level rounds to zero.
+pub fn lower_shapes(
     spec: &NetworkSpec,
     target: &Target,
-    mapping: &NetworkMapping,
+    pipeline: &[PipelineStage],
 ) -> Result<ProgramPlan, String> {
     let n_layers = spec.layers().len();
-    let stages: Vec<ProgramStage> = if mapping.pipeline.is_empty() {
+    let stages: Vec<ProgramStage> = if pipeline.is_empty() {
         vec![ProgramStage { bank: 0, layers: (0, n_layers) }]
     } else {
         let mut next = 0usize;
-        mapping
-            .pipeline
+        pipeline
             .iter()
             .map(|ps| {
                 let start = next;
@@ -215,10 +264,7 @@ pub fn lower_program(
             })
             .collect()
     };
-    let scheme = &target.scheme;
-    let code_max = i128::from(scheme.input_code_max());
-    let w_max = crate::intervals::weight_magnitude(target);
-    let mut act = Interval { lo: 0, hi: code_max };
+    let mat = (target.hw.mat_rows, target.hw.mat_cols);
     let mut layers = Vec::with_capacity(n_layers);
     for stage in &stages {
         let mut buf_cursor = 0u64;
@@ -229,9 +275,7 @@ pub fn lower_program(
             let op = match *layer_spec {
                 LayerSpec::FullyConnected { .. } => ProgramOp::Fc,
                 LayerSpec::Conv { in_ch, out_ch, kernel, in_h, in_w, padding } => {
-                    let (out_h, out_w) = layer_spec
-                        .conv_out_dims()
-                        .unwrap_or((1, 1));
+                    let (out_h, out_w) = layer_spec.conv_out_dims().unwrap_or((1, 1));
                     let staging =
                         conv_staging(in_ch, kernel, in_w, out_w, target.buffer_words);
                     ProgramOp::Conv {
@@ -249,10 +293,12 @@ pub fn lower_program(
                 }
                 LayerSpec::Pool { kind, channels, in_h, in_w, window } => {
                     let mean = kind == PoolKind::Mean;
+                    // The quantized 1/n reciprocal the mux cells program
+                    // (MLC budget); software rescaling divides it back out.
                     let level = if mean {
-                        mean_pool_weights(window * window, scheme.weight_half_bits())
+                        mean_pool_weights(window * window, target.scheme.weight_half_bits())
                             .map(|w| i64::from(w[0]))
-                            .unwrap_or(1)
+                            .map_err(|e| format!("layer {index}: {e}"))?
                     } else {
                         0
                     };
@@ -265,41 +311,92 @@ pub fn lower_program(
                 }
             };
             let (inputs, outputs) = (layer_spec.inputs(), layer_spec.outputs());
-            let base_mats = mapping.layers.get(index).map_or(0, |l| l.base_mats);
-            let mut layer = ProgramLayer {
+            let tiles = op.weight_shape(inputs, outputs).map_or(0, |w| weight_tiles(w, mat).count());
+            let in_addr = buf_cursor;
+            buf_cursor += op.staging_words(inputs) as u64;
+            layers.push(ProgramLayer {
                 op,
                 inputs,
                 outputs,
-                in_addr: buf_cursor,
-                out_addr: buf_cursor + op.staging_words(inputs) as u64,
+                in_addr,
+                out_addr: buf_cursor,
                 requant_shift: 0,
-                // Activations are unknown at spec level; no ReLU is the
-                // sound over-approximation (wider interval).
                 relu: false,
                 bias_peak: 0,
-                tiles: vec![
-                    ProgramTile { aliased: false, write_armed: false };
-                    base_mats
-                ],
-            };
-            buf_cursor = layer.out_addr;
-            // Bias bound at the dot span, then the shift the runner's
-            // `bits - Pin` calibration would pick for the worst case.
-            let dot = crate::intervals::merged_interval(&layer, act, w_max);
-            layer.bias_peak = i64::try_from(dot.abs_max()).unwrap_or(i64::MAX);
-            let merged = crate::intervals::merged_interval(&layer, act, w_max);
-            let needs_shift = !matches!(op, ProgramOp::Pool { mean: false, .. });
-            if needs_shift {
-                layer.requant_shift = static_shift(merged.abs_max(), scheme);
-            }
-            act = merged
-                .shift_right(u32::from(layer.requant_shift).min(63))
-                .clamp(-code_max, code_max);
-            layers.push(layer);
+                tiles: vec![ProgramTile::default(); tiles],
+            });
         }
     }
-    let credits = pipeline_credits(stages.len());
-    Ok(ProgramPlan { layers, stages, buffer_words: target.buffer_words, recycle_credits: credits })
+    let recycle_credits = pipeline_credits(stages.len());
+    Ok(ProgramPlan { layers, stages, buffer_words: target.buffer_words, recycle_credits })
+}
+
+/// Statically lowers `(spec, mapping)` into the [`ProgramPlan`] the
+/// runner compiles, without programming a single mat: the shape-only
+/// [`lower_shapes`] along `mapping.pipeline`, plus requantization shifts
+/// derived from the interval analysis's own worst-case bounds instead of
+/// a calibration pass. Bias magnitudes are modeled at the dot-span bound
+/// (§III-D assumes bias never dominates the dot product).
+///
+/// # Errors
+///
+/// As [`lower_shapes`].
+pub fn lower_program(
+    spec: &NetworkSpec,
+    target: &Target,
+    mapping: &NetworkMapping,
+) -> Result<ProgramPlan, String> {
+    let mut plan = lower_shapes(spec, target, &mapping.pipeline)?;
+    let scheme = &target.scheme;
+    let code_max = i128::from(scheme.input_code_max());
+    let w_max = crate::intervals::weight_magnitude(target);
+    let mut act = Interval { lo: 0, hi: code_max };
+    for layer in &mut plan.layers {
+        // Activations are unknown at spec level; no ReLU (the lowering's
+        // default) is the sound over-approximation (wider interval).
+        // Bias bound at the dot span, then the shift the runner's
+        // `bits - Pin` calibration would pick for the worst case.
+        let dot = crate::intervals::merged_interval(layer, act, w_max);
+        layer.bias_peak = i64::try_from(dot.abs_max()).unwrap_or(i64::MAX);
+        let merged = crate::intervals::merged_interval(layer, act, w_max);
+        if !matches!(layer.op, ProgramOp::Pool { mean: false, .. }) {
+            layer.requant_shift = static_shift(merged.abs_max(), scheme);
+        }
+        act = merged
+            .shift_right(u32::from(layer.requant_shift).min(63))
+            .clamp(-code_max, code_max);
+    }
+    Ok(plan)
+}
+
+/// Deploy-time bank-capacity check on a lowered plan: one
+/// [`Code::P004`] per stage whose layers need more tiles than the
+/// `mats_per_bank` FF mats of the one bank the runner places the stage
+/// on. The compiler's estimate lets a single oversized layer span banks
+/// (§IV-B); the runner does not, so deployment rejects such a stage
+/// before any mat is written. Not part of [`analyze_program`]: static
+/// audits of paper-scale targets keep the compiler's spanning layout.
+pub fn check_stage_tiles(plan: &ProgramPlan, mats_per_bank: usize) -> Vec<Diagnostic> {
+    let mut diags = Vec::new();
+    for (index, stage) in plan.stages.iter().enumerate() {
+        let span_end = stage.layers.1.min(plan.layers.len());
+        let tiles: usize = plan.layers[stage.layers.0.min(span_end)..span_end]
+            .iter()
+            .map(|l| l.tiles.len())
+            .sum();
+        if tiles > mats_per_bank {
+            diags.push(Diagnostic::new(
+                Code::P004,
+                Span::Stage { index, bank: stage.bank },
+                format!(
+                    "stage {index} programs {tiles} tiles onto bank {} but a bank holds \
+                     {mats_per_bank} FF mats; the runner places a whole stage on one bank",
+                    stage.bank
+                ),
+            ));
+        }
+    }
+    diags
 }
 
 /// Pass 3(a): word-granular FF-buffer region dataflow.

@@ -119,6 +119,38 @@ impl BankController {
         &self.log
     }
 
+    /// The `prime-analyze` target of a memory of `banks` banks built like
+    /// this one: its mat geometry and composing scheme, its buffer
+    /// capacity, and the physical precision budgets (the mats program MLC
+    /// cells and encode input signals exactly per the scheme, so the
+    /// budgets equal its halves).
+    pub fn analysis_target(&self, banks: usize) -> prime_analyze::Target {
+        let probe;
+        let mat = match self.ff.first().and_then(|s| s.first()) {
+            Some(mat) => mat,
+            None => {
+                probe = FfMat::new();
+                &probe
+            }
+        };
+        let scheme = mat.scheme();
+        prime_analyze::Target {
+            hw: prime_compiler::HwTarget {
+                mat_rows: mat.max_rows(),
+                mat_cols: mat.max_cols(),
+                mats_per_ff_subarray: self.mats_per_subarray(),
+                ff_subarrays_per_bank: self.ff_subarrays(),
+                banks,
+            },
+            scheme,
+            buffer_words: self.buffer.capacity(),
+            cell_bits: scheme.weight_half_bits(),
+            input_signal_bits: scheme.input_half_bits(),
+            phys_mat_cols: 2 * mat.max_cols(),
+            tile_ref_bits: 16,
+        }
+    }
+
     /// Number of FF subarrays this controller manages.
     pub fn ff_subarrays(&self) -> usize {
         self.ff.len()

@@ -1,14 +1,16 @@
 //! Command-driven network execution through the bank controller.
 //!
 //! [`FfExecutor`](crate::FfExecutor) proves numerical fidelity; this
-//! module proves *protocol* fidelity: a network is compiled into an
-//! integer plan (per-layer quantized weights, SA windows, and buffer
-//! addresses), programmed into a [`BankController`]'s mats, and then
-//! every inference is driven purely by Table I commands — `load` staging
-//! inputs from the Buffer subarray into mat latches, mat computation,
-//! `store` returning outputs — with row-tile merging on the
-//! precision-control adder and integer requantization between layers,
-//! exactly the dataflow of paper Fig. 5(a).
+//! module proves *protocol* fidelity: a network is lowered into the
+//! program plan the static verifier checks
+//! ([`prime_analyze::lower_shapes`]: stage spans, ops, buffer
+//! addresses, tile counts), compiled against it (per-layer quantized
+//! weights, SA windows, requantization shifts), programmed into a
+//! [`BankController`]'s mats, and then every inference is driven purely
+//! by Table I commands — `load` staging inputs from the Buffer subarray
+//! into mat latches, mat computation, `store` returning outputs — with
+//! row-tile merging on the precision-control adder and integer
+//! requantization between layers, exactly the dataflow of paper Fig. 5(a).
 //!
 //! Three layer kinds execute on the device:
 //!
@@ -44,13 +46,12 @@
 //! words, so wide feature maps never require full-width buffer
 //! residency.
 
-use serde::{Deserialize, Serialize};
-
-use prime_circuits::{mean_pool_weights, ComposingScheme, MaxPoolUnit, PrecisionController};
+use prime_analyze::{static_shift, ProgramLayer, ProgramOp, ProgramPlan, ProgramTile, Target};
+use prime_circuits::{ComposingScheme, MaxPoolUnit, PrecisionController};
 use prime_compiler::{MappingStrategy, PipelineStage};
 use prime_device::NoiseModel;
 use prime_mem::{BufAddr, Command, FfAddr, MatAddr, MatFunction};
-use prime_nn::{Activation, Layer, Network, PoolKind};
+use prime_nn::{Activation, Layer, Network};
 
 use crate::controller::{BankController, BankScratch};
 use crate::error::PrimeError;
@@ -147,8 +148,8 @@ fn phase_add(
     }
 }
 
-/// One mat-sized tile of a planned layer.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+/// One mat-sized tile of a placed layer.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 struct PlannedTile {
     mat: MatAddr,
     /// Row span [start, end) within the layer's input vector.
@@ -159,107 +160,13 @@ struct PlannedTile {
     shift: u8,
 }
 
-/// One stage of the compiled plan: a contiguous run of layers placed on
-/// one bank of the slice the plan was compiled against.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-struct PlannedStage {
-    /// Index into the bank slice handed to
-    /// [`CommandRunner::compile_pipeline`].
-    bank: usize,
-    /// Layer span [start, end) within the plan's layer list.
-    layers: (usize, usize),
-}
-
-/// What a planned layer computes per crossbar evaluation.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-enum PlannedOp {
-    /// Fully-connected: one evaluation over the whole input vector.
-    Fc,
-    /// Convolution: one evaluation per output pixel over an im2col
-    /// window gathered from the `[in_ch, in_h, in_w]` activation.
-    Conv {
-        /// Input channels.
-        in_ch: usize,
-        /// Output channels.
-        out_ch: usize,
-        /// Square kernel edge.
-        kernel: usize,
-        /// Zero padding on each side (padded taps stage code 0).
-        padding: usize,
-        /// Input height.
-        in_h: usize,
-        /// Input width.
-        in_w: usize,
-        /// Output height.
-        out_h: usize,
-        /// Output width.
-        out_w: usize,
-        /// Whether the layer runs the weight-stationary row-reuse
-        /// schedule: `kernel` input rows resident in the FF buffer (halo
-        /// rows reused across output rows) plus a chunk of gathered
-        /// windows, instead of staging one window per output pixel.
-        /// Decided at compile time by [`prime_analyze::conv_staging`].
-        resident: bool,
-        /// Output pixels evaluated per staged window chunk (1 when not
-        /// resident).
-        chunk_pixels: usize,
-    },
-    /// Pooling on the Fig. 4 C column-mux hardware: winner-code max or
-    /// the 1/n-weight mean dot product. Consumes no mats.
-    Pool {
-        /// Mean pooling (`level * sum`) instead of winner-code max.
-        mean: bool,
-        /// Channels.
-        channels: usize,
-        /// Input height.
-        in_h: usize,
-        /// Input width.
-        in_w: usize,
-        /// Window edge (stride = window).
-        window: usize,
-        /// Quantized 1/n reciprocal conductance level (mean only).
-        level: i64,
-    },
-}
-
-/// One planned layer.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-struct PlannedLayer {
-    op: PlannedOp,
+/// What compiling added to one lowered layer on its bank: the programmed
+/// tiles and the bias.
+#[derive(Debug, Clone, PartialEq)]
+struct PlacedLayer {
     tiles: Vec<PlannedTile>,
-    inputs: usize,
-    outputs: usize,
     /// Bias in merged full-precision units.
     bias_units: Vec<i64>,
-    /// Right shift taking merged full-precision sums to 6-bit codes for
-    /// the next layer (calibrated).
-    requant_shift: u8,
-    relu: bool,
-    /// Buffer address of this layer's staging region (the full input
-    /// vector for FC, one window for conv/pool).
-    in_addr: BufAddr,
-    /// Buffer address where this layer's output codes are staged.
-    out_addr: BufAddr,
-}
-
-impl PlannedLayer {
-    /// Words of FF buffer the layer's input staging region occupies: the
-    /// full input vector for FC, the row ring plus window chunk for a
-    /// resident conv, one im2col / pooling window otherwise (the feature
-    /// maps themselves stay Mem-resident).
-    fn staging(op: &PlannedOp, inputs: usize) -> usize {
-        match *op {
-            PlannedOp::Fc => inputs,
-            PlannedOp::Conv { in_ch, kernel, in_w, resident, chunk_pixels, .. } => {
-                if resident {
-                    kernel * in_ch * in_w + chunk_pixels * in_ch * kernel * kernel
-                } else {
-                    in_ch * kernel * kernel
-                }
-            }
-            PlannedOp::Pool { window, .. } => window * window,
-        }
-    }
 }
 
 /// A compiled, programmed, command-driven network.
@@ -280,12 +187,14 @@ impl PlannedLayer {
 /// assert_eq!(out.len(), 4);
 /// # Ok::<(), Box<dyn std::error::Error>>(())
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct CommandRunner {
-    layers: Vec<PlannedLayer>,
-    /// Stage placement: contiguous layer spans on strictly increasing
-    /// banks (a single stage on bank 0 for single-bank plans).
-    stages: Vec<PlannedStage>,
+    /// The lowered program ([`prime_analyze::lower_shapes`]: stage spans,
+    /// ops, buffer addresses, tile counts) with the calibrated
+    /// requantization shifts, activations and bias peaks filled in.
+    program: ProgramPlan,
+    /// Bank-side state per layer, index-aligned with `program.layers`.
+    placed: Vec<PlacedLayer>,
     /// Scale of the network-input quantization (codes = value / scale).
     input_scale: f32,
     /// Combined output scale: real value = merged units * this.
@@ -346,46 +255,6 @@ impl CommandRunner {
         diags
     }
 
-    /// Resolves a compiler [`PipelineStage`] list into per-stage layer
-    /// spans. Stage legality (banks strictly increasing, contiguous layer
-    /// coverage, no empty stage, banks in range) is checked by the shared
-    /// [`prime_analyze::check_pipeline`] pass — the same rules the static
-    /// deployment verifier applies — so the runtime and the verifier can
-    /// never drift apart. An empty `pipeline` means one stage holding
-    /// every layer on bank 0.
-    fn resolve_stages(
-        pipeline: &[PipelineStage],
-        n_layers: usize,
-        n_banks: usize,
-    ) -> Result<Vec<PlannedStage>, PrimeError> {
-        if pipeline.is_empty() {
-            return Ok(vec![PlannedStage {
-                bank: 0,
-                layers: (0, n_layers),
-            }]);
-        }
-        let diags = prime_analyze::check_pipeline(pipeline, n_layers, n_banks, None);
-        if let Some(err) = diags
-            .iter()
-            .find(|d| d.severity == prime_analyze::Severity::Error)
-        {
-            return Err(PrimeError::MappingMismatch {
-                reason: err.to_string(),
-            });
-        }
-        let mut stages = Vec::with_capacity(pipeline.len());
-        let mut next_layer = 0usize;
-        for stage in pipeline {
-            let start = next_layer;
-            next_layer += stage.layers.len();
-            stages.push(PlannedStage {
-                bank: stage.bank,
-                layers: (start, next_layer),
-            });
-        }
-        Ok(stages)
-    }
-
     /// Compiles `net` across `banks` following the compiler's
     /// `Mapping::pipeline` stage list (paper §IV-B large-scale mapping):
     /// each stage's layers are tiled, programmed, and calibrated on the
@@ -401,49 +270,96 @@ impl CommandRunner {
     ///
     /// Returns [`PrimeError::MappingMismatch`] for unsupported layers, a
     /// malformed stage list, or a stage needing more FF mats than its
-    /// bank provides.
+    /// bank provides — all before any mat is written.
     pub fn compile_pipeline(
         net: &Network,
         banks: &mut [BankController],
         pipeline: &[PipelineStage],
         calibration_input: &[f32],
     ) -> Result<Self, PrimeError> {
-        if banks.is_empty() {
-            return Err(PrimeError::MappingMismatch {
-                reason: "cannot compile onto zero banks".to_string(),
-            });
+        let (target, program) = Self::lower(net, banks, pipeline, calibration_input)?;
+        let mats_per_bank = target.hw.mats_per_bank();
+        if let Some(diag) = prime_analyze::check_stage_tiles(&program, mats_per_bank).first() {
+            return Err(PrimeError::MappingMismatch { reason: diag.to_string() });
         }
+        Self::compile_lowered(net, banks, &target, program, calibration_input)
+    }
+
+    /// Everything compiling derives and checks before a mat is written:
+    /// the calibration width, stage legality (the shared
+    /// [`prime_analyze::check_pipeline`] rules the static verifier
+    /// applies), the integer-exact activations, and the shape-only
+    /// lowering [`prime_analyze::lower_shapes`] of `net` along `pipeline`
+    /// on the geometry of `banks` (all banks are built alike). Returns
+    /// that geometry's analysis target and the lowered plan, with each
+    /// layer's `relu` set.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`PrimeError::MappingMismatch`] for any failed check.
+    pub(crate) fn lower(
+        net: &Network,
+        banks: &[BankController],
+        pipeline: &[PipelineStage],
+        calibration_input: &[f32],
+    ) -> Result<(Target, ProgramPlan), PrimeError> {
+        let mismatch = |reason: String| PrimeError::MappingMismatch { reason };
+        let Some(first_bank) = banks.first() else {
+            return Err(mismatch("cannot compile onto zero banks".to_string()));
+        };
         // The calibration vector stands in for a representative input:
         // SA and requant calibration index it as the first layer's
         // activation, so a wrong-sized one is a caller error.
         if calibration_input.len() != net.inputs() {
-            return Err(PrimeError::MappingMismatch {
-                reason: format!(
-                    "{} calibration values for a {}-input network",
-                    calibration_input.len(),
-                    net.inputs()
-                ),
-            });
+            return Err(mismatch(format!(
+                "{} calibration values for a {}-input network",
+                calibration_input.len(),
+                net.inputs()
+            )));
         }
-        let stages = Self::resolve_stages(pipeline, net.layers().len(), banks.len())?;
+        if !pipeline.is_empty() {
+            let diags =
+                prime_analyze::check_pipeline(pipeline, net.layers().len(), banks.len(), None);
+            if let Some(err) = diags.iter().find(|d| d.severity == prime_analyze::Severity::Error)
+            {
+                return Err(mismatch(err.to_string()));
+            }
+        }
+        let spec = net.to_spec("runner").map_err(PrimeError::Nn)?;
+        let target = first_bank.analysis_target(banks.len());
+        let mut program = prime_analyze::lower_shapes(&spec, &target, pipeline).map_err(mismatch)?;
+        for (lowered, layer) in program.layers.iter_mut().zip(net.layers()) {
+            lowered.relu = match layer {
+                Layer::Fc(fc) => Self::integer_activation(fc.activation())?,
+                Layer::Conv(conv) => Self::integer_activation(conv.activation())?,
+                Layer::Pool(_) => false,
+            };
+        }
+        Ok((target, program))
+    }
+
+    /// Programs and calibrates the lowered `program` (from
+    /// [`lower`](Self::lower) on the same `banks`, whose stages were
+    /// checked to fit their banks) onto `banks`: quantizes each weight
+    /// layer, programs the tiles the lowering counted, calibrates every
+    /// SA window and requantization shift with `calibration_input`, and
+    /// derives the bias units. Shapes, stage spans and buffer addresses
+    /// are taken from the plan as lowered.
+    pub(crate) fn compile_lowered(
+        net: &Network,
+        banks: &mut [BankController],
+        target: &Target,
+        mut program: ProgramPlan,
+        calibration_input: &[f32],
+    ) -> Result<Self, PrimeError> {
         // Code bounds come from the mats' composing scheme (Pin/Po), not
         // hard-coded constants — the quantizer and every downstream clamp
-        // share this single source of truth. All banks are constructed
-        // identically, so the first stage's bank is representative.
-        let first_bank = &banks[stages[0].bank];
-        let (scheme, mat_rows, mat_cols) =
-            if first_bank.ff_subarrays() * first_bank.mats_per_subarray() > 0 {
-                let mat = first_bank.mat(MatAddr {
-                    subarray: 0,
-                    mat: 0,
-                });
-                (mat.scheme(), mat.max_rows(), mat.max_cols())
-            } else {
-                (ComposingScheme::prime_default(), 256, 128)
-            };
+        // share this single source of truth.
+        let scheme = target.scheme;
+        let mat_dims = (target.hw.mat_rows, target.hw.mat_cols);
         let in_code_max = f32::from(scheme.input_code_max());
         let code_max = i64::from(scheme.input_code_max());
-        let mut planned = Vec::new();
+        let mut placed = Vec::with_capacity(program.layers.len());
         let mut mats_used = 0usize;
 
         // Input quantization scale from the calibration vector.
@@ -458,19 +374,26 @@ impl CommandRunner {
             .collect();
         let mut value_scale = input_scale; // real value of one input code unit
 
-        for stage in &stages {
+        for stage in &program.stages {
             let controller = &mut banks[stage.bank];
-            let mats_per_subarray = controller.mats_per_subarray();
-            let total_mats = controller.ff_subarrays() * mats_per_subarray;
-            // Mat allocation and buffer addressing restart per bank: each
-            // stage owns its bank's FF mats and Buffer subarray.
+            // Mat allocation restarts per bank: each stage owns its
+            // bank's FF mats (and, in the plan, its Buffer subarray).
             let mut next_mat = 0usize;
-            let mut buf_cursor: u64 = 0;
-            for layer in &net.layers()[stage.layers.0..stage.layers.1] {
-                let plan = match layer {
-                    Layer::Fc(fc) => {
-                        let relu = Self::integer_activation(fc.activation())?;
-                        let (inputs, outputs) = (fc.inputs(), fc.outputs());
+            for index in stage.layers.0..stage.layers.1 {
+                let (Some(layer), Some(lowered)) =
+                    (net.layers().get(index), program.layers.get_mut(index))
+                else {
+                    return Err(PrimeError::Internal {
+                        reason: format!("stage span reaches past layer {index}"),
+                    });
+                };
+                let relu = lowered.relu;
+                // The crossbar matrix the lowering counted tiles for.
+                let weight_dims =
+                    lowered.op.weight_shape(lowered.inputs, lowered.outputs).unwrap_or_default();
+                let (tiles, bias_units, requant_shift) = match (layer, lowered.op) {
+                    (Layer::Fc(fc), ProgramOp::Fc) => {
+                        let (inputs, outputs) = (lowered.inputs, lowered.outputs);
                         // Quantize weights to composed 8-bit codes.
                         let w = fc.weights().data();
                         let w_max = w.iter().fold(0.0f32, |m, &v| m.max(v.abs())).max(1e-6);
@@ -483,9 +406,8 @@ impl CommandRunner {
                         let tiles = Self::program_tiles(
                             controller,
                             &mut next_mat,
-                            (mats_per_subarray, total_mats),
-                            (inputs, outputs),
-                            (mat_rows, mat_cols),
+                            weight_dims,
+                            mat_dims,
                             &weight_code,
                             std::slice::from_ref(&codes),
                         )?;
@@ -508,7 +430,7 @@ impl CommandRunner {
                         )?;
                         let out_max =
                             merged.iter().map(|&v| v.abs()).max().unwrap_or(1).max(1);
-                        let requant_shift = Self::requant_shift(out_max, &scheme);
+                        let requant_shift = static_shift(i128::from(out_max), &scheme);
                         // Advance the calibration activations.
                         codes = merged
                             .into_iter()
@@ -518,46 +440,13 @@ impl CommandRunner {
                             })
                             .collect();
                         value_scale = unit * f32::from(requant_shift).exp2();
-                        PlannedLayer {
-                            op: PlannedOp::Fc,
-                            tiles,
-                            inputs,
-                            outputs,
-                            bias_units,
-                            requant_shift,
-                            relu,
-                            in_addr: BufAddr(0),
-                            out_addr: BufAddr(0),
-                        }
+                        (tiles, bias_units, requant_shift)
                     }
-                    Layer::Conv(conv) => {
-                        let relu = Self::integer_activation(conv.activation())?;
-                        let (in_ch, out_ch) = (conv.in_channels(), conv.out_channels());
-                        let (k, padding) = (conv.kernel(), conv.padding());
-                        let (oh, ow) = (conv.out_h(), conv.out_w());
-                        let (inputs, outputs) = (conv.inputs(), conv.outputs());
+                    (
+                        Layer::Conv(conv),
+                        op @ ProgramOp::Conv { in_ch, out_ch, kernel: k, out_h: oh, out_w: ow, .. },
+                    ) => {
                         let rows = in_ch * k * k;
-                        // Deploy-time staging plan: the same accounting
-                        // the static verifier's P019/P020 checks use.
-                        let staging = prime_analyze::conv_staging(
-                            in_ch,
-                            k,
-                            conv.in_w(),
-                            ow,
-                            controller.buffer().capacity(),
-                        );
-                        let op = PlannedOp::Conv {
-                            in_ch,
-                            out_ch,
-                            kernel: k,
-                            padding,
-                            in_h: conv.in_h(),
-                            in_w: conv.in_w(),
-                            out_h: oh,
-                            out_w: ow,
-                            resident: staging.resident,
-                            chunk_pixels: staging.chunk_pixels,
-                        };
                         let w = conv.weights().data();
                         let w_max = w.iter().fold(0.0f32, |m, &v| m.max(v.abs())).max(1e-6);
                         let w_scale = w_max / 255.0;
@@ -583,9 +472,8 @@ impl CommandRunner {
                         let tiles = Self::program_tiles(
                             controller,
                             &mut next_mat,
-                            (mats_per_subarray, total_mats),
-                            (rows, out_ch),
-                            (mat_rows, mat_cols),
+                            weight_dims,
+                            mat_dims,
                             &weight_code,
                             &windows,
                         )?;
@@ -606,8 +494,8 @@ impl CommandRunner {
                                 out_max.max(m.iter().map(|&v| v.abs()).max().unwrap_or(1));
                             merged_all.push(m);
                         }
-                        let requant_shift = Self::requant_shift(out_max, &scheme);
-                        let mut next = vec![0i64; outputs];
+                        let requant_shift = static_shift(i128::from(out_max), &scheme);
+                        let mut next = vec![0i64; lowered.outputs];
                         for (p, m) in merged_all.iter().enumerate() {
                             let (oy, ox) = (p / ow, p % ow);
                             for (oc, &v) in m.iter().enumerate() {
@@ -618,45 +506,17 @@ impl CommandRunner {
                         }
                         codes = next;
                         value_scale = unit * f32::from(requant_shift).exp2();
-                        PlannedLayer {
-                            op,
-                            tiles,
-                            inputs,
-                            outputs,
-                            bias_units,
-                            requant_shift,
-                            relu,
-                            in_addr: BufAddr(0),
-                            out_addr: BufAddr(0),
-                        }
+                        (tiles, bias_units, requant_shift)
                     }
-                    Layer::Pool(pool) => {
-                        let win = pool.window();
-                        let n = win * win;
-                        let (inputs, outputs) = (pool.inputs(), pool.outputs());
-                        let (channels, ih, iw) = (pool.channels(), pool.in_h(), pool.in_w());
-                        let (oh, ow) = (ih / win, iw / win);
-                        let mean = matches!(pool.kind(), PoolKind::Mean);
-                        // The quantized 1/n reciprocal the mux cells
-                        // program (4-bit MLC budget). Software rescaling
-                        // divides the level back out, so the mean stays
-                        // exact as long as the level is nonzero.
-                        let level = if mean {
-                            i64::from(mean_pool_weights(n, scheme.weight_half_bits())?[0])
-                        } else {
-                            0
-                        };
-                        let op = PlannedOp::Pool {
-                            mean,
-                            channels,
-                            in_h: ih,
-                            in_w: iw,
-                            window: win,
-                            level,
-                        };
+                    (
+                        Layer::Pool(_),
+                        op @ ProgramOp::Pool { mean, channels, in_h, in_w, window, level },
+                    ) => {
+                        let n = window * window;
+                        let (oh, ow) = (in_h / window, in_w / window);
                         // Digital preview of the pooled calibration
                         // activations, then the calibrated requant shift.
-                        let mut next = vec![0i64; outputs];
+                        let mut next = vec![0i64; lowered.outputs];
                         let mut winbuf = Vec::with_capacity(n);
                         let mut out_max = 1i64;
                         for c in 0..channels {
@@ -673,43 +533,36 @@ impl CommandRunner {
                         }
                         // Winner-code max selects among existing codes, so
                         // only the mean's level-scaled sums need requant.
-                        let requant_shift = if mean {
-                            Self::requant_shift(out_max, &scheme)
-                        } else {
-                            0
-                        };
+                        let requant_shift =
+                            if mean { static_shift(i128::from(out_max), &scheme) } else { 0 };
                         for v in &mut next {
                             *v = (*v >> requant_shift).clamp(-code_max, code_max);
                         }
                         codes = next;
                         if mean {
+                            // Software rescaling divides the 1/n level
+                            // back out, so the mean stays exact.
                             value_scale = value_scale * f32::from(requant_shift).exp2()
                                 / (level * n as i64) as f32;
                         }
-                        PlannedLayer {
-                            op,
-                            tiles: Vec::new(),
-                            inputs,
-                            outputs,
-                            bias_units: Vec::new(),
-                            requant_shift,
-                            relu: false,
-                            in_addr: BufAddr(0),
-                            out_addr: BufAddr(0),
-                        }
+                        (Vec::new(), Vec::new(), requant_shift)
+                    }
+                    _ => {
+                        return Err(PrimeError::Internal {
+                            reason: format!("lowered op of layer {index} does not match it"),
+                        });
                     }
                 };
-                let mut plan = plan;
-                plan.in_addr = BufAddr(buf_cursor);
-                buf_cursor += PlannedLayer::staging(&plan.op, plan.inputs) as u64;
-                plan.out_addr = BufAddr(buf_cursor);
-                planned.push(plan);
+                lowered.requant_shift = requant_shift;
+                lowered.bias_peak =
+                    bias_units.iter().map(|b| b.saturating_abs()).max().unwrap_or(0);
+                placed.push(PlacedLayer { tiles, bias_units });
             }
             mats_used += next_mat;
         }
         Ok(CommandRunner {
-            layers: planned,
-            stages,
+            program,
+            placed,
             input_scale,
             output_scale: value_scale,
             mats_used,
@@ -730,86 +583,64 @@ impl CommandRunner {
         }
     }
 
-    /// Right shift taking merged sums with peak magnitude `out_max` down
-    /// to the scheme's input precision, so the next layer's codes fit its
-    /// Pin-bit drivers.
-    fn requant_shift(out_max: i64, scheme: &ComposingScheme) -> u8 {
-        let bits = 64 - out_max.leading_zeros() as i64;
-        (bits - i64::from(scheme.input_bits())).max(0) as u8
-    }
-
-    /// Tiles a `rows`x`cols` quantized weight matrix over the bank's FF
-    /// mats: allocates mats in order, programs each tile's composed
-    /// codes, and calibrates its SA window against every calibration
+    /// Programs a `rows`x`cols` quantized weight matrix onto the bank's
+    /// FF mats, one mat per [`prime_analyze::weight_tiles`] tile,
+    /// allocated in order from `next_mat`: writes each tile's composed
+    /// codes and calibrates its SA window against every calibration
     /// vector (the full input for FC, every im2col window for conv).
-    #[allow(clippy::too_many_arguments)]
     fn program_tiles(
         controller: &mut BankController,
         next_mat: &mut usize,
-        (mats_per_subarray, total_mats): (usize, usize),
-        (rows, cols): (usize, usize),
-        (mat_rows, mat_cols): (usize, usize),
+        weight_dims: (usize, usize),
+        mat_dims: (usize, usize),
         weight_code: &dyn Fn(usize, usize) -> i32,
         calib: &[Vec<i64>],
     ) -> Result<Vec<PlannedTile>, PrimeError> {
-        let row_spans: Vec<(usize, usize)> = (0..rows.div_ceil(mat_rows))
-            .map(|t| (t * mat_rows, ((t + 1) * mat_rows).min(rows)))
-            .collect();
-        let col_spans: Vec<(usize, usize)> = (0..cols.div_ceil(mat_cols))
-            .map(|t| (t * mat_cols, ((t + 1) * mat_cols).min(cols)))
-            .collect();
+        let mats_per_subarray = controller.mats_per_subarray();
         let mut tiles = Vec::new();
-        for &(r0, r1) in &row_spans {
-            for &(c0, c1) in &col_spans {
-                if *next_mat >= total_mats {
-                    return Err(PrimeError::MappingMismatch {
-                        reason: "network needs more FF mats than the bank provides"
-                            .to_string(),
-                    });
+        for ((r0, r1), (c0, c1)) in prime_analyze::weight_tiles(weight_dims, mat_dims) {
+            let mat = MatAddr {
+                subarray: *next_mat / mats_per_subarray,
+                mat: *next_mat % mats_per_subarray,
+            };
+            *next_mat += 1;
+            let (tr, tc) = (r1 - r0, c1 - c0);
+            let mut tile_codes = Vec::with_capacity(tr * tc);
+            for r in r0..r1 {
+                for c in c0..c1 {
+                    tile_codes.push(weight_code(r, c));
                 }
-                let mat = MatAddr {
-                    subarray: *next_mat / mats_per_subarray,
-                    mat: *next_mat % mats_per_subarray,
-                };
-                *next_mat += 1;
-                let (tr, tc) = (r1 - r0, c1 - c0);
-                let mut tile_codes = Vec::with_capacity(tr * tc);
-                for r in r0..r1 {
-                    for c in c0..c1 {
-                        tile_codes.push(weight_code(r, c));
-                    }
-                }
-                controller.execute(Command::SetFunction {
-                    mat,
-                    function: MatFunction::Program,
-                })?;
-                controller
-                    .mat_mut(mat)
-                    .program_composed(&tile_codes, tr, tc)?;
-                controller.execute(Command::SetFunction {
-                    mat,
-                    function: MatFunction::Compute,
-                })?;
-                // Calibrate the SA window on the calibration codes.
-                let mut max_abs = 1i64;
-                for v in calib {
-                    for c in 0..tc {
-                        let mut acc = 0i64;
-                        for (r, &x) in v[r0..r1].iter().enumerate() {
-                            acc += x * i64::from(tile_codes[r * tc + c]);
-                        }
-                        max_abs = max_abs.max(acc.abs());
-                    }
-                }
-                controller.mat_mut(mat).calibrate_output_window(2 * max_abs);
-                let shift = controller.mat(mat).output_shift();
-                tiles.push(PlannedTile {
-                    mat,
-                    rows: (r0, r1),
-                    cols: (c0, c1),
-                    shift,
-                });
             }
+            controller.execute(Command::SetFunction {
+                mat,
+                function: MatFunction::Program,
+            })?;
+            controller
+                .mat_mut(mat)
+                .program_composed(&tile_codes, tr, tc)?;
+            controller.execute(Command::SetFunction {
+                mat,
+                function: MatFunction::Compute,
+            })?;
+            // Calibrate the SA window on the calibration codes.
+            let mut max_abs = 1i64;
+            for v in calib {
+                for c in 0..tc {
+                    let mut acc = 0i64;
+                    for (r, &x) in v[r0..r1].iter().enumerate() {
+                        acc += x * i64::from(tile_codes[r * tc + c]);
+                    }
+                    max_abs = max_abs.max(acc.abs());
+                }
+            }
+            controller.mat_mut(mat).calibrate_output_window(2 * max_abs);
+            let shift = controller.mat(mat).output_shift();
+            tiles.push(PlannedTile {
+                mat,
+                rows: (r0, r1),
+                cols: (c0, c1),
+                shift,
+            });
         }
         Ok(tiles)
     }
@@ -817,7 +648,7 @@ impl CommandRunner {
     /// Number of pipeline stages the plan executes (1 for single-bank
     /// plans).
     pub fn stage_count(&self) -> usize {
-        self.stages.len()
+        self.program.stages.len()
     }
 
     /// The bank (index into the compile-time bank slice) hosting `stage`.
@@ -826,12 +657,12 @@ impl CommandRunner {
     ///
     /// Panics if `stage` is out of range.
     pub fn stage_bank(&self, stage: usize) -> usize {
-        self.stages[stage].bank
+        self.program.stages[stage].bank
     }
 
     /// Banks the plan occupies (`last stage bank + 1`).
     pub fn banks_spanned(&self) -> usize {
-        self.stages.last().map_or(1, |s| s.bank + 1)
+        self.program.stages.last().map_or(1, |s| s.bank + 1)
     }
 
     /// Replicates this compiled plan onto `dst`, a geometry-identical
@@ -870,9 +701,9 @@ impl CommandRunner {
                 ),
             });
         }
-        for stage in &self.stages {
+        for stage in &self.program.stages {
             for (index, layer) in self
-                .layers
+                .placed
                 .iter()
                 .enumerate()
                 .take(stage.layers.1)
@@ -903,8 +734,8 @@ impl CommandRunner {
     ///
     /// Panics if `stage` is out of range.
     pub fn stage_input(&self, stage: usize) -> (BufAddr, usize) {
-        let layer = &self.layers[self.stages[stage].layers.0];
-        (layer.in_addr, layer.inputs)
+        let layer = &self.program.layers[self.program.stages[stage].layers.0];
+        (BufAddr(layer.in_addr), layer.inputs)
     }
 
     /// Buffer address of `stage`'s output staging region and the logical
@@ -915,8 +746,8 @@ impl CommandRunner {
     ///
     /// Panics if `stage` is out of range.
     pub fn stage_output(&self, stage: usize) -> (BufAddr, usize) {
-        let layer = &self.layers[self.stages[stage].layers.1 - 1];
-        (layer.out_addr, layer.outputs)
+        let layer = &self.program.layers[self.program.stages[stage].layers.1 - 1];
+        (BufAddr(layer.out_addr), layer.outputs)
     }
 
     /// Burst width for streaming a conv/pool boundary activation through
@@ -941,13 +772,14 @@ impl CommandRunner {
         bank: &mut BankController,
         codes: &mut Vec<i64>,
     ) -> Result<(), PrimeError> {
-        let layer = &self.layers[self.stages[stage].layers.1 - 1];
+        let layer = &self.program.layers[self.program.stages[stage].layers.1 - 1];
+        let out_addr = BufAddr(layer.out_addr);
         match layer.op {
-            PlannedOp::Fc => bank.transfer_out(layer.out_addr, layer.outputs, codes),
+            ProgramOp::Fc => bank.transfer_out(out_addr, layer.outputs, codes),
             _ => {
                 let chunk = Self::io_chunk(layer.outputs);
                 for burst in codes.chunks(chunk) {
-                    bank.buffer_mut().store(layer.out_addr, burst)?;
+                    bank.buffer_mut().store(out_addr, burst)?;
                 }
                 Ok(())
             }
@@ -968,13 +800,14 @@ impl CommandRunner {
         bank: &mut BankController,
         codes: &[i64],
     ) -> Result<(), PrimeError> {
-        let layer = &self.layers[self.stages[stage].layers.0];
+        let layer = &self.program.layers[self.program.stages[stage].layers.0];
+        let in_addr = BufAddr(layer.in_addr);
         match layer.op {
-            PlannedOp::Fc => bank.transfer_in(layer.in_addr, codes),
+            ProgramOp::Fc => bank.transfer_in(in_addr, codes),
             _ => {
                 let chunk = Self::io_chunk(layer.inputs);
                 for burst in codes.chunks(chunk) {
-                    bank.buffer_mut().store(layer.in_addr, burst)?;
+                    bank.buffer_mut().store(in_addr, burst)?;
                 }
                 Ok(())
             }
@@ -990,16 +823,17 @@ impl CommandRunner {
     /// stages — the row labels for per-layer timing breakdowns from
     /// [`infer_timed_into`](Self::infer_timed_into).
     pub fn layer_labels(&self) -> Vec<String> {
-        self.layers
+        self.program
+            .layers
             .iter()
-            .map(|plan| {
-                let relu = if plan.relu { " relu" } else { "" };
-                match plan.op {
-                    PlannedOp::Fc => format!("fc {}-{}{relu}", plan.inputs, plan.outputs),
-                    PlannedOp::Conv { in_ch, out_ch, kernel, out_h, out_w, .. } => {
+            .map(|layer| {
+                let relu = if layer.relu { " relu" } else { "" };
+                match layer.op {
+                    ProgramOp::Fc => format!("fc {}-{}{relu}", layer.inputs, layer.outputs),
+                    ProgramOp::Conv { in_ch, out_ch, kernel, out_h, out_w, .. } => {
                         format!("conv{kernel}x{kernel} {in_ch}-{out_ch}ch {out_h}x{out_w}{relu}")
                     }
-                    PlannedOp::Pool { mean, channels, window, .. } => {
+                    ProgramOp::Pool { mean, channels, window, .. } => {
                         let kind = if mean { "meanpool" } else { "maxpool" };
                         format!("{kind}{window}x{window} {channels}ch")
                     }
@@ -1008,108 +842,38 @@ impl CommandRunner {
             .collect()
     }
 
-    /// Exports the compiled plan as a [`prime_analyze::ProgramPlan`] for
-    /// the Pass-3 abstract interpreter: planned ops, buffer addressing,
-    /// calibrated shifts, stage placement, and the live post-deploy tile
-    /// state (alias sharing and mat function) read from `banks` — the
-    /// same bank slice the plan was compiled against, in stage order.
-    /// Read-only: no command is issued and no mat state changes.
-    pub fn program_plan(&self, banks: &[BankController]) -> prime_analyze::ProgramPlan {
-        let layer_bank: Vec<usize> = {
-            let mut map = vec![0usize; self.layers.len()];
-            for stage in &self.stages {
-                for slot in map
-                    .iter_mut()
-                    .take(stage.layers.1.min(self.layers.len()))
-                    .skip(stage.layers.0)
-                {
-                    *slot = stage.bank;
-                }
-            }
-            map
-        };
-        let layers = self
-            .layers
-            .iter()
-            .zip(&layer_bank)
-            .map(|(plan, &bank)| {
-                let op = match plan.op {
-                    PlannedOp::Fc => prime_analyze::ProgramOp::Fc,
-                    PlannedOp::Conv {
-                        in_ch,
-                        out_ch,
-                        kernel,
-                        padding,
-                        in_h,
-                        in_w,
-                        out_h,
-                        out_w,
-                        resident,
-                        chunk_pixels,
-                    } => prime_analyze::ProgramOp::Conv {
-                        in_ch,
-                        out_ch,
-                        kernel,
-                        padding,
-                        in_h,
-                        in_w,
-                        out_h,
-                        out_w,
-                        resident,
-                        chunk_pixels,
-                    },
-                    PlannedOp::Pool { mean, channels, in_h, in_w, window, level } => {
-                        prime_analyze::ProgramOp::Pool {
-                            mean,
-                            channels,
-                            in_h,
-                            in_w,
-                            window,
-                            level,
-                        }
-                    }
+    /// The compiled program as the Pass-3 abstract interpreter sees it:
+    /// the lowered plan the runner executes, with its calibrated shifts,
+    /// plus the live post-deploy tile state (alias sharing and mat
+    /// function) read from `banks` — the same bank slice the plan was
+    /// compiled against, in stage order. Read-only: no command is issued
+    /// and no mat state changes.
+    pub fn program_plan(&self, banks: &[BankController]) -> ProgramPlan {
+        let mut plan = self.program.clone();
+        let ProgramPlan { layers, stages, .. } = &mut plan;
+        for stage in stages.iter() {
+            let bank = banks.get(stage.bank);
+            for index in stage.layers.0..stage.layers.1 {
+                let (Some(layer), Some(placed)) = (layers.get_mut(index), self.placed.get(index))
+                else {
+                    continue;
                 };
-                let tiles = plan
+                layer.tiles = placed
                     .tiles
                     .iter()
                     .map(|tile| {
-                        let state = banks.get(bank).map(|b| {
+                        bank.map_or_else(ProgramTile::default, |b| {
                             let mat = b.mat(tile.mat);
-                            (mat.shared_tile().is_some(), mat.function() == MatFunction::Program)
-                        });
-                        let (aliased, write_armed) = state.unwrap_or((false, false));
-                        prime_analyze::ProgramTile { aliased, write_armed }
+                            ProgramTile {
+                                aliased: mat.shared_tile().is_some(),
+                                write_armed: mat.function() == MatFunction::Program,
+                            }
+                        })
                     })
                     .collect();
-                prime_analyze::ProgramLayer {
-                    op,
-                    inputs: plan.inputs,
-                    outputs: plan.outputs,
-                    in_addr: plan.in_addr.0,
-                    out_addr: plan.out_addr.0,
-                    requant_shift: plan.requant_shift,
-                    relu: plan.relu,
-                    bias_peak: plan.bias_units.iter().map(|b| b.abs()).max().unwrap_or(0),
-                    tiles,
-                }
-            })
-            .collect();
-        let stages = self
-            .stages
-            .iter()
-            .map(|s| prime_analyze::ProgramStage { bank: s.bank, layers: s.layers })
-            .collect();
-        let buffer_words = banks
-            .iter()
-            .map(|b| b.buffer().capacity())
-            .min()
-            .unwrap_or(0);
-        prime_analyze::ProgramPlan {
-            layers,
-            stages,
-            buffer_words,
-            recycle_credits: prime_compiler::pipeline_credits(self.stages.len()),
+            }
         }
+        plan
     }
 
     /// Full-precision merged sums of one layer on given input codes,
@@ -1198,14 +962,14 @@ impl CommandRunner {
     /// code 0 — exactly the contribution of a grounded input line on the
     /// unsigned drivers.
     fn gather_window(
-        op: &PlannedOp,
+        op: &ProgramOp,
         codes: &[i64],
         oy: usize,
         ox: usize,
         window: &mut Vec<i64>,
     ) {
         window.clear();
-        let PlannedOp::Conv { in_ch, kernel, padding, in_h, in_w, .. } = *op else {
+        let ProgramOp::Conv { in_ch, kernel, padding, in_h, in_w, .. } = *op else {
             return;
         };
         for ic in 0..in_ch {
@@ -1231,13 +995,13 @@ impl CommandRunner {
     /// the result is element-identical to
     /// [`gather_window`](Self::gather_window) on the raw activation.
     fn gather_window_from_ring(
-        op: &PlannedOp,
+        op: &ProgramOp,
         ring: &[i64],
         oy: usize,
         ox: usize,
         out: &mut Vec<i64>,
     ) {
-        let PlannedOp::Conv { in_ch, kernel, padding, in_h, in_w, .. } = *op else {
+        let ProgramOp::Conv { in_ch, kernel, padding, in_h, in_w, .. } = *op else {
             return;
         };
         for ic in 0..in_ch {
@@ -1259,7 +1023,7 @@ impl CommandRunner {
     /// Gathers the pooling window of output element `(c, oy, ox)` from a
     /// `[channels, in_h, in_w]` activation into `window`.
     fn gather_pool_window(
-        op: &PlannedOp,
+        op: &ProgramOp,
         codes: &[i64],
         c: usize,
         oy: usize,
@@ -1267,7 +1031,7 @@ impl CommandRunner {
         window: &mut Vec<i64>,
     ) {
         window.clear();
-        let PlannedOp::Pool { in_h, in_w, window: win, .. } = *op else {
+        let ProgramOp::Pool { in_h, in_w, window: win, .. } = *op else {
             return;
         };
         for wy in 0..win {
@@ -1282,8 +1046,8 @@ impl CommandRunner {
     /// pooling, or the winner-code maximum for max pooling. Mutates
     /// `window` in place (the max reduction reuses it as its register
     /// file), so the inference hot path allocates nothing.
-    fn pool_reduce(op: &PlannedOp, window: &mut Vec<i64>) -> Result<i64, PrimeError> {
-        let PlannedOp::Pool { mean, level, .. } = *op else {
+    fn pool_reduce(op: &ProgramOp, window: &mut Vec<i64>) -> Result<i64, PrimeError> {
+        let ProgramOp::Pool { mean, level, .. } = *op else {
             return Err(PrimeError::Internal {
                 reason: "pool_reduce on a non-pool layer".to_string(),
             });
@@ -1317,7 +1081,7 @@ impl CommandRunner {
     /// an interior layer, real-valued output for the network's final
     /// layer.
     fn emit(
-        plan: &PlannedLayer,
+        layer: &ProgramLayer,
         final_unit: f32,
         fwd_code_max: i64,
         idx: usize,
@@ -1325,11 +1089,11 @@ impl CommandRunner {
         next_codes: &mut [i64],
         final_out: &mut Option<&mut Vec<f32>>,
     ) {
-        let v = if plan.relu { v.max(0) } else { v };
+        let v = if layer.relu { v.max(0) } else { v };
         match final_out {
             Some(out) => out[idx] = v as f32 * final_unit,
             None => {
-                next_codes[idx] = (v >> plan.requant_shift).clamp(-fwd_code_max, fwd_code_max)
+                next_codes[idx] = (v >> layer.requant_shift).clamp(-fwd_code_max, fwd_code_max)
             }
         }
     }
@@ -1506,7 +1270,7 @@ impl CommandRunner {
     /// Returns [`PrimeError::MappingMismatch`] on a mis-sized input or an
     /// empty plan.
     pub fn quantize_input(&self, input: &[f32], codes: &mut Vec<i64>) -> Result<(), PrimeError> {
-        let first = self.layers.first().ok_or(PrimeError::MappingMismatch {
+        let first = self.program.layers.first().ok_or(PrimeError::MappingMismatch {
             reason: "empty plan".to_string(),
         })?;
         if input.len() != first.inputs {
@@ -1580,8 +1344,8 @@ impl CommandRunner {
         mut layer_ns: Option<&mut Vec<f64>>,
         mut conv_phases: Option<&mut ConvPhases>,
     ) -> Result<(), PrimeError> {
-        let (start, end) = self.stages[stage].layers;
-        let last_global = self.layers.len() - 1;
+        let (start, end) = self.program.stages[stage].layers;
+        let last_global = self.program.layers.len() - 1;
         let fwd_code_max = i64::from(self.scheme.input_code_max());
         let InferScratch {
             next_codes,
@@ -1596,10 +1360,11 @@ impl CommandRunner {
             bank: bank_scratch,
             ..
         } = scratch;
-        for (i, plan) in self.layers[start..end].iter().enumerate() {
+        let layers = self.program.layers[start..end].iter().zip(&self.placed[start..end]);
+        for (i, (layer, placed)) in layers.enumerate() {
             let stopwatch = layer_ns.is_some().then(std::time::Instant::now);
             let is_final = start + i == last_global;
-            let final_unit = self.output_scale / f32::from(plan.requant_shift).exp2();
+            let final_unit = self.output_scale / f32::from(layer.requant_shift).exp2();
             // Prepare the destination for indexed writes: the real-valued
             // network output for the final layer, requantized codes
             // otherwise.
@@ -1608,22 +1373,22 @@ impl CommandRunner {
                     reason: "final stage requires an output buffer".to_string(),
                 })?;
                 o.clear();
-                o.resize(plan.outputs, 0.0);
+                o.resize(layer.outputs, 0.0);
                 Some(o)
             } else {
                 next_codes.clear();
-                next_codes.resize(plan.outputs, 0);
+                next_codes.resize(layer.outputs, 0);
                 None
             };
-            match plan.op {
-                PlannedOp::Fc => {
-                    bank.buffer_mut().store(plan.in_addr, codes)?;
+            match layer.op {
+                ProgramOp::Fc => {
+                    bank.buffer_mut().store(BufAddr(layer.in_addr), codes)?;
                     Self::merge_reference_into(
-                        &plan.tiles,
+                        &placed.tiles,
                         bank,
                         codes,
-                        plan.outputs,
-                        &plan.bias_units,
+                        layer.outputs,
+                        &placed.bias_units,
                         analog.as_mut().map(|(noise, rng)| (*noise, &mut **rng)),
                         merge_acc,
                         bank_scratch,
@@ -1632,11 +1397,11 @@ impl CommandRunner {
                     )?;
                     for (o, &v) in merged.iter().enumerate() {
                         Self::emit(
-                            plan, final_unit, fwd_code_max, o, v, next_codes, &mut final_out,
+                            layer, final_unit, fwd_code_max, o, v, next_codes, &mut final_out,
                         );
                     }
                 }
-                PlannedOp::Conv {
+                ProgramOp::Conv {
                     in_ch,
                     kernel,
                     padding,
@@ -1648,7 +1413,7 @@ impl CommandRunner {
                     chunk_pixels,
                     ..
                 } => {
-                    let out_ch = plan.outputs / (out_h * out_w);
+                    let out_ch = layer.outputs / (out_h * out_w);
                     if resident {
                         // Weight-stationary row-reuse schedule: the
                         // kernel input rows a row of output pixels reads
@@ -1662,7 +1427,7 @@ impl CommandRunner {
                         // and pipelined engines.
                         let window_rows = in_ch * kernel * kernel;
                         let slot_w = in_ch * in_w;
-                        let ring_base = plan.in_addr.0;
+                        let ring_base = layer.in_addr;
                         let chunk_addr = BufAddr(ring_base + (kernel * slot_w) as u64);
                         ring.clear();
                         ring.resize(kernel * slot_w, 0);
@@ -1702,7 +1467,7 @@ impl CommandRunner {
                                 win_chunk.clear();
                                 for p in 0..cp {
                                     Self::gather_window_from_ring(
-                                        &plan.op, ring, oy, ox0 + p, win_chunk,
+                                        &layer.op, ring, oy, ox0 + p, win_chunk,
                                     );
                                 }
                                 phase_add(&mut conv_phases, t, |ph| &mut ph.gather_ns);
@@ -1714,11 +1479,11 @@ impl CommandRunner {
                                 chunk_acc.resize_with(cp * out_ch, PrecisionController::new);
                                 for p in 0..cp {
                                     let regs = &mut chunk_acc[p * out_ch..(p + 1) * out_ch];
-                                    for (o, &b) in regs.iter_mut().zip(&plan.bias_units) {
+                                    for (o, &b) in regs.iter_mut().zip(&placed.bias_units) {
                                         o.accumulate(b, 0);
                                     }
                                 }
-                                for tile in &plan.tiles {
+                                for tile in &placed.tiles {
                                     let (r0, r1) = tile.rows;
                                     // One latch load serves every pixel
                                     // of the chunk for this tile.
@@ -1762,7 +1527,7 @@ impl CommandRunner {
                                     let ox = ox0 + p;
                                     for oc in 0..out_ch {
                                         Self::emit(
-                                            plan,
+                                            layer,
                                             final_unit,
                                             fwd_code_max,
                                             (oc * out_h + oy) * out_w + ox,
@@ -1785,18 +1550,18 @@ impl CommandRunner {
                         for oy in 0..out_h {
                             for ox in 0..out_w {
                                 let t = phase_mark(conv_phases.is_some());
-                                Self::gather_window(&plan.op, codes, oy, ox, window);
+                                Self::gather_window(&layer.op, codes, oy, ox, window);
                                 phase_add(&mut conv_phases, t, |ph| &mut ph.gather_ns);
                                 let t = phase_mark(conv_phases.is_some());
-                                bank.buffer_mut().store(plan.in_addr, window)?;
+                                bank.buffer_mut().store(BufAddr(layer.in_addr), window)?;
                                 phase_add(&mut conv_phases, t, |ph| &mut ph.stage_ns);
                                 let t = phase_mark(conv_phases.is_some());
                                 Self::merge_reference_into(
-                                    &plan.tiles,
+                                    &placed.tiles,
                                     bank,
                                     window,
                                     out_ch,
-                                    &plan.bias_units,
+                                    &placed.bias_units,
                                     analog.as_mut().map(|(noise, rng)| (*noise, &mut **rng)),
                                     merge_acc,
                                     bank_scratch,
@@ -1807,7 +1572,7 @@ impl CommandRunner {
                                 let t = phase_mark(conv_phases.is_some());
                                 for (oc, &v) in merged.iter().enumerate() {
                                     Self::emit(
-                                        plan,
+                                        layer,
                                         final_unit,
                                         fwd_code_max,
                                         (oc * out_h + oy) * out_w + ox,
@@ -1821,18 +1586,18 @@ impl CommandRunner {
                         }
                     }
                 }
-                PlannedOp::Pool { channels, in_h, in_w, window: win, .. } => {
+                ProgramOp::Pool { channels, in_h, in_w, window: win, .. } => {
                     let (oh, ow) = (in_h / win, in_w / win);
                     for c in 0..channels {
                         for oy in 0..oh {
                             for ox in 0..ow {
-                                Self::gather_pool_window(&plan.op, codes, c, oy, ox, window);
+                                Self::gather_pool_window(&layer.op, codes, c, oy, ox, window);
                                 // Stage the candidates for the pooling
                                 // unit's registers.
-                                bank.buffer_mut().store(plan.in_addr, window)?;
-                                let m = Self::pool_reduce(&plan.op, window)?;
+                                bank.buffer_mut().store(BufAddr(layer.in_addr), window)?;
+                                let m = Self::pool_reduce(&layer.op, window)?;
                                 Self::emit(
-                                    plan,
+                                    layer,
                                     final_unit,
                                     fwd_code_max,
                                     (c * oh + oy) * ow + ox,
@@ -1855,8 +1620,8 @@ impl CommandRunner {
             // FC activations are buffer-resident between layers; conv and
             // pool feature maps stay in the Mem subarrays (only windows
             // and boundary bursts touch the buffer).
-            if matches!(plan.op, PlannedOp::Fc) {
-                bank.buffer_mut().store(plan.out_addr, codes)?;
+            if matches!(layer.op, ProgramOp::Fc) {
+                bank.buffer_mut().store(BufAddr(layer.out_addr), codes)?;
             }
         }
         Ok(())
@@ -1918,7 +1683,7 @@ impl CommandRunner {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use prime_nn::{Conv2d, FullyConnected, Pool2d};
+    use prime_nn::{Conv2d, FullyConnected, Pool2d, PoolKind};
     use rand::rngs::SmallRng;
     use rand::SeedableRng;
 
@@ -2210,7 +1975,7 @@ mod tests {
             let padding = pad.min(kernel.saturating_sub(1));
             let out_h = in_h + 2 * padding - kernel + 1;
             let out_w = in_w + 2 * padding - kernel + 1;
-            let op = PlannedOp::Conv {
+            let op = ProgramOp::Conv {
                 in_ch,
                 out_ch: 1,
                 kernel,
@@ -2279,15 +2044,15 @@ mod tests {
             CommandRunner::compile(&net, &mut fallback_ctl, &input).expect("compiles");
         assert!(
             matches!(
-                resident_runner.layers[0].op,
-                PlannedOp::Conv { resident: true, chunk_pixels: 10, .. }
+                resident_runner.program.layers[0].op,
+                ProgramOp::Conv { resident: true, chunk_pixels: 10, .. }
             ),
             "4096-word buffer must take the weight-stationary schedule"
         );
         assert!(
             matches!(
-                fallback_runner.layers[0].op,
-                PlannedOp::Conv { resident: false, chunk_pixels: 1, .. }
+                fallback_runner.program.layers[0].op,
+                ProgramOp::Conv { resident: false, chunk_pixels: 1, .. }
             ),
             "1024-word buffer must fall back to per-pixel staging"
         );

@@ -26,7 +26,7 @@ use rand::rngs::SmallRng;
 use rand::SeedableRng;
 use serde::{Deserialize, Serialize};
 
-use prime_compiler::{map_network, CompileOptions, HwTarget, MappingStrategy, Objective};
+use prime_compiler::{map_network, CompileOptions, MappingStrategy, Objective};
 use prime_device::NoiseModel;
 use prime_mem::{FfReservationMap, MatAddr, MorphDecision, MorphPolicy, PageMissTracker, WearLeveler};
 use prime_nn::Network;
@@ -209,18 +209,6 @@ impl PrimeSystem {
         self.runners.first().map(CommandRunner::stage_count)
     }
 
-    /// The compiler target equivalent to this system's geometry.
-    fn hw_target(&self) -> HwTarget {
-        let mat = self.banks[0].mat(MatAddr { subarray: 0, mat: 0 });
-        HwTarget {
-            mat_rows: mat.max_rows(),
-            mat_cols: mat.max_cols(),
-            mats_per_ff_subarray: self.banks[0].mats_per_subarray(),
-            ff_subarrays_per_bank: self.banks[0].ff_subarrays(),
-            banks: self.banks.len(),
-        }
-    }
-
     /// Aggregate statistics.
     pub fn stats(&self) -> SystemStats {
         SystemStats {
@@ -244,9 +232,11 @@ impl PrimeSystem {
     ///
     /// Returns [`PrimeError::Rejected`] carrying the verifier diagnostics
     /// if the mapping breaks a deployment invariant (the network does not
-    /// fit the memory's FF mats, a pipeline stage is illegal, the
-    /// precision budgets overflow, ...), or another [`PrimeError`] for
-    /// unsupported layers.
+    /// fit the memory's FF mats, a pipeline stage is illegal or does not
+    /// fit its bank, the precision budgets overflow, ...), or another
+    /// [`PrimeError`] for unsupported layers. A refusal before
+    /// programming leaves the current deployment untouched; a failure
+    /// after the first mat write leaves the system undeployed.
     pub fn deploy(&mut self, net: &Network, calibration: &[f32]) -> Result<(), PrimeError> {
         self.deploy_with(net, calibration, MappingStrategy::ReplicateDense)
     }
@@ -327,23 +317,14 @@ impl PrimeSystem {
     /// compiler geometry plus the physical precision budgets the static
     /// verifiers check against.
     fn analysis_target(&self) -> prime_analyze::Target {
-        let scheme = self.banks[0].mat(MatAddr { subarray: 0, mat: 0 }).scheme();
-        prime_analyze::Target {
-            scheme,
-            buffer_words: self.banks[0].buffer().capacity(),
-            // The mats program MLC cells and encode input signals exactly
-            // per the scheme, so the physical budgets equal its halves.
-            cell_bits: scheme.weight_half_bits(),
-            input_signal_bits: scheme.input_half_bits(),
-            phys_mat_cols: 2 * self.banks[0].mat(MatAddr { subarray: 0, mat: 0 }).max_cols(),
-            tile_ref_bits: 16,
-            hw: self.hw_target(),
-        }
+        self.banks[0].analysis_target(self.banks.len())
     }
 
     /// The shared deployment path: compile `net` under `options`, verify
-    /// (Pass 1 before any bank state changes, Pass 3 after replication
-    /// but before install), program, replicate, and account.
+    /// (Pass 1 and the lowered plan's stage fit before any bank state
+    /// changes, Pass 3 after replication but before install), program,
+    /// replicate, and account. A failure after the first mat write leaves
+    /// the system undeployed.
     fn deploy_compiled(
         &mut self,
         net: &Network,
@@ -374,12 +355,11 @@ impl PrimeSystem {
         if !diagnostics.is_empty() {
             return Err(PrimeError::Rejected { diagnostics });
         }
-        // Compile every copy first (failure leaves no partial state
-        // visible to the OS bookkeeping). The bank group is sized by the
-        // stage list itself, not `mapping.banks_per_copy`: greedy packing
-        // can fragment and span more banks than the capacity bound. The
-        // verifier has already bounded every stage span to the memory, so
-        // at least one copy fits.
+        // The bank group is sized by the stage list itself, not
+        // `mapping.banks_per_copy`: greedy packing can fragment and span
+        // more banks than the capacity bound. The verifier has already
+        // bounded every stage span to the memory, so at least one copy
+        // fits.
         let bpc = mapping.pipeline.last().map_or(1, |s| {
             s.bank + s.mats.div_ceil(self.mats_per_bank).max(1)
         });
@@ -387,6 +367,19 @@ impl PrimeSystem {
         // the memory could hold, leaving the other banks as plain
         // memory; uncapped mappings always allow at least banks/bpc.
         let copies = (self.banks.len() / bpc).min(mapping.copies_across_memory).max(1);
+        // The one lowering (shapes, stage spans, buffer addresses, tile
+        // counts), derived and checked before any mat is written, so a
+        // rejection here leaves the live model untouched. The compiler's
+        // estimate reserves a bias row and lets one oversized layer span
+        // banks; the runner adds bias in the merge adder and places a
+        // whole stage on one bank, so a stage whose tiles overflow that
+        // bank is rejected with P004.
+        let (lowered_target, program) =
+            CommandRunner::lower(net, &self.banks[..bpc], &mapping.pipeline, calibration)?;
+        let diagnostics = prime_analyze::check_stage_tiles(&program, self.mats_per_bank);
+        if !diagnostics.is_empty() {
+            return Err(PrimeError::Rejected { diagnostics });
+        }
         // Compile (quantize + program + calibrate) copy 0 only, then
         // replicate the programmed plan onto every other bank group:
         // stage banks are group-relative and programming is
@@ -397,33 +390,52 @@ impl PrimeSystem {
         let layer_strategies: Vec<MappingStrategy> =
             mapping.layers.iter().map(|l| l.strategy).collect();
         let (first_group, rest) = self.banks.split_at_mut(bpc);
-        let first =
-            CommandRunner::compile_pipeline(net, first_group, &mapping.pipeline, calibration)?;
-        let mut runners = Vec::with_capacity(copies);
-        for c in 1..copies {
-            let group = &mut rest[(c - 1) * bpc..c * bpc];
-            runners.push(first.replicate_onto(first_group, group, &layer_strategies)?);
-        }
-        runners.insert(0, first);
+        let programmed =
+            CommandRunner::compile_lowered(net, first_group, &lowered_target, program, calibration)
+                .and_then(|first| {
+                    let mut runners = Vec::with_capacity(copies);
+                    for c in 1..copies {
+                        let group = &mut rest[(c - 1) * bpc..c * bpc];
+                        runners.push(first.replicate_onto(first_group, group, &layer_strategies)?);
+                    }
+                    runners.insert(0, first);
+                    Ok(runners)
+                });
         // Static verification pass 3: abstractly interpret the lowered
         // command program of copy 0 — FF-buffer region dataflow, §III-D
         // interval precision, shared-tile aliasing, stage-graph deadlock
         // freedom. Runs after replication so the alias check sees the
         // real post-deploy tile sharing, but before the runners are
-        // installed: a rejected plan leaves the system undeployed.
-        let first_group = &self.banks[..bpc];
-        let plan = runners[0].program_plan(first_group);
-        let diagnostics: Vec<_> =
-            prime_analyze::analyze_program(&spec, &target, &mapping, &plan)
-                .into_iter()
-                .filter(|d| d.severity == prime_analyze::Severity::Error)
-                .collect();
-        if !diagnostics.is_empty() {
-            return Err(PrimeError::Rejected { diagnostics });
-        }
-        let total: usize = runners.iter().map(CommandRunner::mats_used).sum();
-        self.reservations = FfReservationMap::new(self.banks.len() * self.mats_per_bank);
-        self.reservations.reserve(total).map_err(PrimeError::Mem)?;
+        // installed.
+        let installed = programmed.and_then(|runners| {
+            let plan = runners[0].program_plan(&self.banks[..bpc]);
+            let diagnostics: Vec<_> =
+                prime_analyze::analyze_program(&spec, &target, &mapping, &plan)
+                    .into_iter()
+                    .filter(|d| d.severity == prime_analyze::Severity::Error)
+                    .collect();
+            if !diagnostics.is_empty() {
+                return Err(PrimeError::Rejected { diagnostics });
+            }
+            let total: usize = runners.iter().map(CommandRunner::mats_used).sum();
+            let mut reservations =
+                FfReservationMap::new(self.banks.len() * self.mats_per_bank);
+            reservations.reserve(total).map_err(PrimeError::Mem)?;
+            Ok((runners, reservations))
+        });
+        // Mats have been written from the first compile step on: after a
+        // failure the banks hold a partial program, so the previous
+        // runners go too and the system is left undeployed.
+        let (runners, reservations) = match installed {
+            Ok(installed) => installed,
+            Err(e) => {
+                self.runners.clear();
+                self.reservations = FfReservationMap::new(self.banks.len() * self.mats_per_bank);
+                self.deploy_stats = None;
+                return Err(e);
+            }
+        };
+        self.reservations = reservations;
         self.runners = runners;
         self.banks_per_copy = bpc;
         self.wear.on_reconfiguration();
